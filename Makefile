@@ -80,8 +80,10 @@ fleet-smoke: build
 		-fleet-out fleet-report.json -dashboard-out fleet-dashboard.html
 
 # bench regenerates $(BENCH_OUT), the machine-readable perf trajectory
-# (BENCH_PR2..PR7.json are kept as the historical record):
-# BenchmarkCompute* (the headline end-to-end pipeline benchmarks, with
+# (BENCH_PR2..PR10.json are kept as the historical record):
+# BenchmarkCompute* (the headline end-to-end pipeline benchmarks;
+# Compute and ComputeNSF also report the adversary's work ledger —
+# lp_solves/op, lp_iters/op and pruned/op — with
 # BenchmarkComputeEndToEnd swept at 1/2/4 workers for the
 # proportional-overhead guarantee), the online controller's warm-vs-cold
 # recompute pair, the PR-9 reaction-latency pair —
@@ -96,7 +98,7 @@ fleet-smoke: build
 # count — the key to reading per-worker numbers on small runners). CI
 # runs this on every push; commit the refreshed file when the numbers
 # move materially.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR12.json
 bench:
 	( $(GO) test -run '^$$' -bench '^BenchmarkCompute(NSF)?$$' -benchtime 2x -benchmem -cpu 1,4 . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkComputeEndToEnd$$' -benchtime 20x -benchmem -cpu 1,2,4 . && \

@@ -19,6 +19,7 @@ import (
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/spf"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -155,6 +156,8 @@ func benchCompute(b *testing.B, name string) {
 		b.Fatal(err)
 	}
 	bounds := coyote.MarginBounds(coyote.GravityDemands(topo, 1), 2)
+	lp.ResetGlobalStats()
+	pruned0 := prunedTotal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := coyote.New(topo, bounds, coyote.Options{
@@ -167,6 +170,17 @@ func benchCompute(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	st := lp.GlobalStats()
+	b.ReportMetric(float64(st.Solves)/float64(b.N), "lp_solves/op")
+	b.ReportMetric(float64(st.Iterations)/float64(b.N), "lp_iters/op")
+	b.ReportMetric((prunedTotal()-pruned0)/float64(b.N), "pruned/op")
+}
+
+// prunedTotal reads the adversary's pruned-candidate counter.
+func prunedTotal() float64 {
+	v, _ := obs.Default.Snapshot().Total("coyote_oblivious_candidates_pruned_total")
+	return v
 }
 
 // BenchmarkCompute is the headline scaling benchmark of the concurrent
@@ -398,7 +412,7 @@ func BenchmarkExactOPT(b *testing.B) {
 	dags := dagx.BuildAll(g, dagx.Augmented)
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := mcf.MinMLUExactBasis(g, dags, D, nil); err != nil {
+			if _, err := mcf.MinMLUExactBasis(g, dags, D, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -442,10 +456,11 @@ func BenchmarkDualRestart(b *testing.B) {
 	}
 	b.Run("dual-warm", func(b *testing.B) {
 		mm := mcf.NewMinMLUModel(g, dags, D)
-		_, _, basis, err := mm.Solve(nil)
+		sol, err := mm.Solve(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		basis := sol.Basis
 		cur := D.Clone()
 		lp.ResetGlobalStats()
 		b.ResetTimer()
@@ -462,11 +477,11 @@ func BenchmarkDualRestart(b *testing.B) {
 			if err := mm.SetDemand(graph.NodeID(e.s), graph.NodeID(e.t), d); err != nil {
 				b.Fatal(err)
 			}
-			_, _, nb, err := mm.Solve(&lp.SolveOptions{Basis: basis})
+			sol, err := mm.Solve(&lp.SolveOptions{Basis: basis})
 			if err != nil {
 				b.Fatal(err)
 			}
-			basis = nb
+			basis = sol.Basis
 		}
 		b.StopTimer()
 		st := lp.GlobalStats()
@@ -486,7 +501,7 @@ func BenchmarkDualRestart(b *testing.B) {
 				continue
 			}
 			cur.D[e.s*n+e.t] *= e.scale
-			if _, _, _, err := mcf.MinMLUExactBasis(g, dags, cur, nil); err != nil {
+			if _, err := mcf.MinMLUExactBasis(g, dags, cur, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,10 +33,11 @@ func TestDualRestartBoundEditsProperty(t *testing.T) {
 			dags := dagx.BuildAll(g, dagx.Augmented)
 
 			mm := NewMinMLUModel(g, dags, D)
-			_, _, basis, err := mm.Solve(nil)
+			sol, err := mm.Solve(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			basis := sol.Basis
 
 			rng := rand.New(rand.NewSource(0x5eed + int64(n)))
 			cur := D.Clone()
@@ -65,20 +66,22 @@ func TestDualRestartBoundEditsProperty(t *testing.T) {
 				}
 
 				lp.ResetGlobalStats()
-				warmMLU, _, nb, err := mm.Solve(&lp.SolveOptions{Basis: basis})
+				warm, err := mm.Solve(&lp.SolveOptions{Basis: basis})
 				if err != nil {
 					t.Fatalf("edit %d warm: %v", i, err)
 				}
+				warmMLU := warm.MLU
 				ws := lp.GlobalStats()
 				warmIters += ws.Iterations
 				dualHits += ws.DualHits
-				basis = nb
+				basis = warm.Basis
 
 				lp.ResetGlobalStats()
-				coldMLU, _, _, err := MinMLUExactBasis(g, dags, cur, nil)
+				cold, err := MinMLUExactBasis(g, dags, cur, nil)
 				if err != nil {
 					t.Fatalf("edit %d cold: %v", i, err)
 				}
+				coldMLU := cold.MLU
 				coldIters += lp.GlobalStats().Iterations
 
 				if math.Abs(warmMLU-coldMLU) > 1e-6*(1+coldMLU) {

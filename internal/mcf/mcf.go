@@ -50,25 +50,41 @@ func allowedEdges(g *graph.Graph, dags []*dagx.DAG, t graph.NodeID) []bool {
 // flows (flows[t][e]; nil rows for destinations without demand). When dags
 // is non-nil, flows are restricted to each destination's DAG.
 func MinMLUExact(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, [][]float64, error) {
-	mlu, flows, _, err := MinMLUExactBasis(g, dags, D, nil)
-	return mlu, flows, err
+	sol, err := MinMLUExactBasis(g, dags, D, nil)
+	if err != nil {
+		if errors.Is(err, ErrUnroutable) {
+			return math.Inf(1), nil, err
+		}
+		return 0, nil, err
+	}
+	return sol.MLU, sol.Flows, nil
 }
 
 // MinMLUExactBasis is MinMLUExact with an optional warm-start basis from a
 // previous solve of the same formulation shape — same graph, DAGs, and set
-// of active destinations (demand columns with traffic). The returned basis
-// is the optimal one of this solve; carrying it across the online
-// controller's repeated normalizations (demand matrices drifting inside a
-// box) typically skips phase 1 entirely, and a bound/RHS-only drift is
-// repaired by the dual simplex (lp.MethodAuto). A basis that no longer
-// fits is ignored. The optimum itself never depends on the warm basis;
-// only the pivot path does.
-func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (float64, [][]float64, *lp.Basis, error) {
+// of active destinations (demand columns with traffic). The returned
+// Solution carries the optimal basis of this solve; carrying it across the
+// online controller's repeated normalizations (demand matrices drifting
+// inside a box) typically skips phase 1 entirely, and a bound/RHS-only
+// drift is repaired by the dual simplex (lp.MethodAuto). A basis that no
+// longer fits is ignored. The optimum itself never depends on the warm
+// basis; only the pivot path does.
+func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (*Solution, error) {
 	if D.Total() == 0 {
-		return 0, make([][]float64, g.NumNodes()), nil, nil
+		return &Solution{Flows: make([][]float64, g.NumNodes())}, nil
 	}
 	mm := NewMinMLUModel(g, dags, D)
 	return mm.Solve(&lp.SolveOptions{Basis: warm})
+}
+
+// Solution is an optimal min-MLU solve.
+type Solution struct {
+	MLU   float64     // the optimal maximum link utilization
+	Flows [][]float64 // flows[t][e]; nil rows for inactive destinations
+	Basis *lp.Basis   // the optimal basis, for warm-starting a related solve
+	// Lengths is the solve's dual certificate (nil when the solver
+	// reported no duals): see Lengths.
+	Lengths Lengths
 }
 
 // MinMLUModel is the exact min-MLU LP kept mutable between solves: the
@@ -186,14 +202,15 @@ func (mm *MinMLUModel) SetDemand(s, t graph.NodeID, d float64) error {
 }
 
 // Solve runs the LP with the given options (typically a carried Basis) and
-// unpacks the solution into MLU and per-destination edge flows.
-func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (float64, [][]float64, *lp.Basis, error) {
+// unpacks the solution into MLU, per-destination edge flows, the optimal
+// basis, and the capacity-row dual certificate (Lengths).
+func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (*Solution, error) {
 	sol, err := mm.Model.Solve(opts)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("mcf: %w", err)
+		return nil, fmt.Errorf("mcf: %w", err)
 	}
 	if sol.Status != lp.Optimal {
-		return math.Inf(1), nil, nil, ErrUnroutable
+		return nil, ErrUnroutable
 	}
 	n := mm.g.NumNodes()
 	flows := make([][]float64, n)
@@ -208,7 +225,92 @@ func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (float64, [][]float64, *lp.B
 			}
 		}
 	}
-	return sol.Objective, flows, sol.Basis, nil
+	return &Solution{MLU: sol.Objective, Flows: flows, Basis: sol.Basis, Lengths: mm.lengths(sol.Duals)}, nil
+}
+
+// lengths reads the capacity-row duals y as the link-length function
+// w_e = max(0, −y_e), normalized to Σ_e c_e·w_e = 1. It returns nil when
+// there are no duals (the dense fallback) or no positive length.
+func (mm *MinMLUModel) lengths(y []float64) Lengths {
+	if y == nil {
+		return nil
+	}
+	w := make(Lengths, len(mm.CapRow))
+	sum := 0.0
+	for e, r := range mm.CapRow {
+		if r >= 0 && y[r] < 0 {
+			w[e] = -y[r]
+			sum += w[e] * mm.g.Edge(graph.EdgeID(e)).Capacity
+		}
+	}
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil
+	}
+	for e := range w {
+		w[e] /= sum
+	}
+	return w
+}
+
+// Lengths is a link-length function w ≥ 0 with Σ_e c_e·w_e = 1, indexed by
+// edge ID, read off the capacity-row duals of an optimal min-MLU solve.
+// Setting every conservation dual to the w-distance toward its destination
+// makes a feasible dual for ANY demand matrix, so weak duality gives
+//
+//	OPTDAG(D) ≥ Σ_st d_st · dist_w(s→t within DAG_t)
+//
+// for every D — over the same graph and DAGs, whatever its active
+// destinations (the tech report's normalization certificate, Theorem 5).
+// The inequality needs only w ≥ 0 and the normalization, both enforced
+// when the duals are read, so solver tolerances in the duals can loosen
+// the bound but never make it unsound; at the matrix the lengths came
+// from it is tight.
+type Lengths []float64
+
+// Dists returns dist_w(s→t within DAG_t) laid out like demand.Matrix.D
+// (index s·n+t; +Inf where s cannot reach t inside DAG_t). It takes one
+// reverse pass over each DAG's topological order.
+func (w Lengths) Dists(g *graph.Graph, dags []*dagx.DAG) []float64 {
+	n := g.NumNodes()
+	dist := make([]float64, n*n)
+	col := make([]float64, n)
+	for t := 0; t < n; t++ {
+		dag := dags[t]
+		for v := range col {
+			col[v] = math.Inf(1)
+		}
+		col[t] = 0
+		for i := len(dag.Order) - 1; i >= 0; i-- {
+			u := dag.Order[i]
+			if u == graph.NodeID(t) {
+				continue
+			}
+			for _, id := range g.Out(u) {
+				if dag.Member[id] {
+					if d := w[id] + col[g.Edge(id).To]; d < col[u] {
+						col[u] = d
+					}
+				}
+			}
+		}
+		for s := 0; s < n; s++ {
+			dist[s*n+t] = col[s]
+		}
+	}
+	return dist
+}
+
+// LowerBound returns Σ_st d_st·dist[st] for a distance table from Dists:
+// a certified lower bound on OPTDAG(D) (+Inf when D sends traffic that
+// its DAG cannot carry).
+func LowerBound(D *demand.Matrix, dist []float64) float64 {
+	lb := 0.0
+	for i, d := range D.D {
+		if d > 0 {
+			lb += d * dist[i]
+		}
+	}
+	return lb
 }
 
 // DumpMPS writes the instance in canonical MPS form, so any min-MLU LP can

@@ -55,10 +55,11 @@ func TestExactSparseDenseParityCorpus(t *testing.T) {
 				label string
 				dags  []*dagx.DAG
 			}{{"free", nil}, {"in-dag", dags}} {
-				sparseMLU, _, basis, err := MinMLUExactBasis(g, tc.dags, D, nil)
+				sparse, err := MinMLUExactBasis(g, tc.dags, D, nil)
 				if err != nil {
 					t.Fatalf("%s sparse: %v", tc.label, err)
 				}
+				sparseMLU := sparse.MLU
 				denseMLU, _, err := MinMLUExactDense(g, tc.dags, D)
 				if err != nil {
 					t.Fatalf("%s dense: %v", tc.label, err)
@@ -70,10 +71,11 @@ func TestExactSparseDenseParityCorpus(t *testing.T) {
 				// Warm re-solve of the identical instance: must accept the
 				// basis and land on the same optimum (same vertex, so only
 				// round-off separates the two values).
-				warmMLU, _, _, err := MinMLUExactBasis(g, tc.dags, D, basis)
+				warm, err := MinMLUExactBasis(g, tc.dags, D, sparse.Basis)
 				if err != nil {
 					t.Fatalf("%s warm: %v", tc.label, err)
 				}
+				warmMLU := warm.MLU
 				if math.Abs(warmMLU-sparseMLU) > 1e-9*(1+sparseMLU) {
 					t.Fatalf("%s: warm MLU %.17g differs from cold %.17g", tc.label, warmMLU, sparseMLU)
 				}
@@ -96,18 +98,19 @@ func TestExactWarmBasisAcrossDemands(t *testing.T) {
 	var carriedBasis *lp.Basis
 	for _, s := range scales {
 		D := base.Clone().Scale(s)
-		coldMLU, _, _, err := MinMLUExactBasis(g, dags, D, nil)
+		cold, err := MinMLUExactBasis(g, dags, D, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmMLU, _, nb, err := MinMLUExactBasis(g, dags, D, carriedBasis)
+		warm, err := MinMLUExactBasis(g, dags, D, carriedBasis)
 		if err != nil {
 			t.Fatal(err)
 		}
+		coldMLU, warmMLU := cold.MLU, warm.MLU
 		tol := 1e-9 * (1 + coldMLU)
 		if math.Abs(warmMLU-coldMLU) > tol {
 			t.Fatalf("scale %g: warm MLU %.12g, cold %.12g", s, warmMLU, coldMLU)
 		}
-		carriedBasis = nb
+		carriedBasis = warm.Basis
 	}
 }

@@ -13,11 +13,14 @@
 // attained at a corner readable from the coefficient signs; corners are
 // then normalized by OPTDAG via the mcf solvers. Single-pair demand
 // matrices (the adversaries behind Theorem 4) are additionally screened in
-// closed form through DAG-restricted max-flow.
+// closed form through DAG-restricted max-flow. Normalization is bound,
+// then solve: every exact OPTDAG solve also yields an LP-dual lower bound
+// on OPTDAG of any matrix (mcf.Lengths), and a candidate whose certified
+// ratio bound cannot reach the top-k is never solved (DESIGN.md §2.5).
 //
 // The evaluator is concurrent end-to-end (DESIGN.md §4): coefficient
 // extraction, the single-pair screen, corner-adversary sampling, candidate
-// normalization, and per-destination DAG flow propagation all fan out
+// normalization batches, and per-destination DAG flow propagation all fan out
 // across a worker pool sized by EvalConfig.Workers, with flow buffers
 // recycled through sync.Pool. Every parallel stage writes index-addressed
 // slots and reduces serially in index order, and corner sampling derives
@@ -94,21 +97,78 @@ type Evaluator struct {
 	seq     atomic.Uint64 // PerfTop call sequence; varies corner samples across calls
 	edgeBuf *par.Pool     // pooled per-edge flow buffers (len NumEdges)
 	nodeBuf *par.Pool     // pooled per-node inflow buffers (len NumNodes)
+
+	// onPrune, when set (tests only), sees every candidate PerfTop prunes
+	// with its MxLU and the top-k threshold τ that pruned it.
+	onPrune func(D *demand.Matrix, mxlu, tau float64)
 }
 
+const (
+	// pruneBatch is how many OPTDAG solves PerfTop runs between two
+	// pruning passes. Smaller batches refresh τ and the bounds more often
+	// and so prune more (Geant, default effort: 38 LP solves per Compute
+	// at 2, 41 at 4, 49 at 8, 61 at 16), at the price of a narrower
+	// parallel fan-out per batch; 4 still fills a small worker pool. It is
+	// a constant, not derived from Workers, so the pruned set is identical
+	// at any width.
+	pruneBatch = 4
+	// lengthStoreCap bounds the OPTDAG length certificates evalCache
+	// keeps for later calls, each one float per edge. In a prototype, an
+	// unbounded store (of n² distance tables) grew session heaps by
+	// 72–106%; the most recent few carry the useful bounds.
+	lengthStoreCap = 8
+	// pruneSlack is the relative margin by which a candidate's certified
+	// ratio bound must miss τ before it is pruned, covering the LP's own
+	// optimality tolerance on the values that set τ.
+	pruneSlack = 1e-9
+)
+
+var mPruned = obs.Default.NewCounter("coyote_oblivious_candidates_pruned_total",
+	"Adversary candidates whose OPTDAG solve was skipped because a dual lower bound proved they cannot reach the top-k.")
+
 // evalCache holds the values that depend only on (graph, DAGs) — OPTDAG
-// normalizations, per-pair DAG max-flows, and the latest exact-LP optimal
-// basis — so evaluators over the same topology but different uncertainty
-// boxes (the online controller's demand updates) can share them. The basis
-// rides the same carry-through as the gpopt warm state: delta.Session's
-// UpdateBounds and Recover derive their evaluator via WithBox, which keeps
-// this cache, so exact normalizations after a demand drift warm-start from
-// the vertex of the previous epoch.
+// normalizations (or the lower bounds that pruned them), per-pair DAG
+// max-flows, the latest exact-LP optimal basis, and the most recent OPTDAG
+// length certificates — so evaluators over the same topology but different
+// uncertainty boxes (the online controller's demand updates) can share
+// them. The basis rides the same carry-through as the gpopt warm state:
+// delta.Session's UpdateBounds and Recover derive their evaluator via
+// WithBox, which keeps this cache, so exact normalizations after a demand
+// drift warm-start from the vertex of the previous epoch, and their pruning
+// starts from the previous epoch's bounds.
 type evalCache struct {
-	mu    sync.Mutex
-	opt   map[uint64]float64
-	mf    map[[2]graph.NodeID]float64
-	basis *lp.Basis
+	mu sync.Mutex
+	// opt memoizes OPTDAG by matrix hash: the value once solved (≥ 0, +Inf
+	// when unroutable), or −LB for a matrix pruned unsolved, where LB > 0
+	// is the lower bound that pruned it.
+	opt     map[uint64]float64
+	mf      map[[2]graph.NodeID]float64
+	basis   *lp.Basis
+	lengths []mcf.Lengths // at most lengthStoreCap, oldest first
+}
+
+// storedLengths snapshots the length-certificate store.
+func (c *evalCache) storedLengths() []mcf.Lengths {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lengths
+}
+
+// addLengths appends certificates in the given order (nil entries are
+// skipped) and keeps the lengthStoreCap most recent.
+func (c *evalCache) addLengths(ws ...mcf.Lengths) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	all := append([]mcf.Lengths(nil), c.lengths...)
+	for _, w := range ws {
+		if w != nil {
+			all = append(all, w)
+		}
+	}
+	if len(all) > lengthStoreCap {
+		all = all[len(all)-lengthStoreCap:]
+	}
+	c.lengths = all
 }
 
 // warmBasis snapshots the shared warm-start basis.
@@ -146,11 +206,11 @@ func NewEvaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box, cfg EvalCon
 }
 
 // WithBox derives an evaluator for a different uncertainty box over the
-// same graph and DAGs. The OPTDAG and max-flow caches — which are
-// box-independent — and the flow-buffer pools are shared with the
-// receiver, so a session that drifts its demand bounds keeps every
-// normalization it already paid for. The derived evaluator starts a fresh
-// corner-sampling sequence.
+// same graph and DAGs. The OPTDAG, max-flow and length-certificate caches —
+// which are box-independent — and the flow-buffer pools are shared with
+// the receiver, so a session that drifts its demand bounds keeps every
+// normalization and bound it already paid for. The derived evaluator
+// starts a fresh corner-sampling sequence.
 func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
 	return &Evaluator{
 		G:       ev.G,
@@ -171,39 +231,48 @@ func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
 // normalization goes through optDAGWarm with a fixed basis snapshot
 // instead, so its results never depend on goroutine scheduling.
 func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
-	v, basis, _ := ev.optDAGWarm(D, ev.cache.warmBasis())
-	ev.cache.setWarmBasis(basis)
+	v, sol := ev.optDAGWarm(D, ev.cache.warmBasis())
+	if sol != nil {
+		ev.cache.setWarmBasis(sol.Basis)
+		ev.cache.addLengths(sol.Lengths)
+	}
 	return v
 }
 
+// exact reports whether OPTDAG uses the exact LP (and so yields bases and
+// length certificates) rather than the FPTAS.
+func (ev *Evaluator) exact() bool { return ev.G.NumNodes() <= ev.cfg.ExactNodeLimit }
+
 // optDAGWarm is OptDAG against an explicit warm basis. It returns the
-// (possibly cached) value, the optimal basis when a fresh exact solve
-// happened (nil otherwise), and whether a solve happened at all.
-func (ev *Evaluator) optDAGWarm(D *demand.Matrix, warm *lp.Basis) (float64, *lp.Basis, bool) {
+// (possibly cached) value and, when a fresh exact solve succeeded, its
+// solution (basis and length certificate); nil otherwise.
+func (ev *Evaluator) optDAGWarm(D *demand.Matrix, warm *lp.Basis) (float64, *mcf.Solution) {
 	h := hashMatrix(D)
 	c := ev.cache
 	c.mu.Lock()
-	if v, ok := c.opt[h]; ok {
+	if v, ok := c.opt[h]; ok && v >= 0 {
 		c.mu.Unlock()
-		return v, nil, false
+		return v, nil
 	}
 	c.mu.Unlock()
 	var v float64
-	var basis *lp.Basis
+	var sol *mcf.Solution
 	var err error
-	if ev.G.NumNodes() <= ev.cfg.ExactNodeLimit {
-		v, _, basis, err = mcf.MinMLUExactBasis(ev.G, ev.DAGs, D, warm)
+	if ev.exact() {
+		if sol, err = mcf.MinMLUExactBasis(ev.G, ev.DAGs, D, warm); err == nil {
+			v = sol.MLU
+		}
 	} else {
 		v, _, err = mcf.MinMLUApprox(ev.G, ev.DAGs, D, ev.cfg.Eps)
 	}
 	if err != nil {
 		v = math.Inf(1)
-		basis = nil
+		sol = nil
 	}
 	c.mu.Lock()
 	c.opt[h] = v
 	c.mu.Unlock()
-	return v, basis, true
+	return v, sol
 }
 
 // pairMaxFlow returns the maximum s→t flow within DAG_t (cached). The
@@ -265,10 +334,16 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 
 // PerfTopCtx is PerfTop with tracing: when ctx carries an obs.Tracer the
 // adversary records one oblivious.adversary span covering the whole
-// candidate fan-out (corner generation, parallel OPTDAG normalization,
-// utilization propagation). The candidates themselves are evaluated in
+// candidate fan-out (corner generation, utilization propagation, batched
+// OPTDAG normalization). The candidates themselves are evaluated in
 // parallel, so the span is deliberately one per call, not one per
-// candidate; nothing observed changes the verdict.
+// candidate; its attributes count the corner candidates, the singles, and
+// how many candidates were solved and pruned. Nothing observed changes the
+// verdict.
+//
+// Candidates whose LP-dual ratio bound proves they cannot enter the top-k
+// are pruned unsolved (boundThenSolve): the result is the top-k the full
+// adversary would return, at a fraction of its OPTDAG solves.
 func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int) []Result {
 	_, span := obs.StartSpan(ctx, "oblivious.adversary")
 	defer span.End()
@@ -360,58 +435,193 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 		}
 	}
 
-	// Normalize and evaluate candidates in parallel. Every exact OPTDAG
-	// solve warm-starts from the same basis snapshot (taken before the
-	// fan-out) and the refreshed basis is published afterwards from the
-	// highest-indexed fresh solve — never from whichever goroutine finished
-	// last — so the numbers cannot depend on scheduling or worker count.
-	type cand struct {
-		ratio, mxlu, norm float64
-		D                 *demand.Matrix
+	if k < 1 {
+		k = 1
 	}
-	results := make([]cand, len(candidates))
-	warmSnapshot := ev.cache.warmBasis()
-	bases := make([]*lp.Basis, len(candidates))
-	par.For(workers, len(candidates), func(i int) {
-		D := candidates[i]
-		norm, basis, _ := ev.optDAGWarm(D, warmSnapshot)
-		bases[i] = basis
-		if norm <= 0 || math.IsInf(norm, 1) {
-			results[i] = cand{ratio: math.Inf(-1)}
-			return
-		}
-		// The candidate fan-out already saturates the pool; a full-width
-		// inner fan-out here would square the goroutine count for no
-		// throughput. The serial propagation still reuses pooled buffers
-		// and is bit-identical at any width.
-		mxlu := r.ParallelMaxUtilization(D, 1, ev.edgeBuf, ev.nodeBuf)
-		results[i] = cand{ratio: mxlu / norm, mxlu: mxlu, norm: norm, D: D}
-	})
-	for i := len(bases) - 1; i >= 0; i-- {
-		if bases[i] != nil {
-			ev.cache.setWarmBasis(bases[i])
-			break
-		}
-	}
-	span.Attr("k", k).Attr("candidates", len(candidates)).Attr("singles", len(singles))
-	all := make([]Result, 0, len(results)+len(singles))
-	all = append(all, singles...)
-	for _, c := range results {
-		if c.D != nil && !math.IsInf(c.ratio, -1) {
-			all = append(all, Result{Ratio: c.ratio, WorstDM: c.D, MxLU: c.mxlu, Norm: c.norm})
-		}
-	}
+	results, solved, pruned := ev.boundThenSolve(r, candidates, singles, k)
+	mPruned.Add(uint64(pruned))
+	span.Attr("k", k).Attr("candidates", len(candidates)).Attr("singles", len(singles)).
+		Attr("solved", solved).Attr("pruned", pruned)
+	all := append(singles, results...)
 	if len(all) == 0 {
 		return []Result{{Ratio: math.Inf(-1)}}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Ratio > all[j].Ratio })
-	if k < 1 {
-		k = 1
-	}
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
+}
+
+// boundThenSolve normalizes the corner candidates by OPTDAG and returns,
+// in candidate order, those with a finite ratio — except candidates it
+// proved cannot enter the top-k, whose LP it skips. MxLU is cheap, so it is
+// computed for every candidate first; the singles and memo hits contribute
+// exact ratios outright. τ is the k-th best exact ratio known so far. The
+// remaining candidates are solved in batches of pruneBatch, highest
+// certified ratio bound UB = MxLU/LB first (ties by index), where LB is the
+// best OPTDAG lower bound from the stored and freshly solved length
+// certificates (mcf.Lengths) and, for a matrix an earlier call pruned, the
+// bound that pruned it. Before each batch, every candidate with
+// UB·(1+pruneSlack) < τ is dropped; its exact ratio is at most UB, so it
+// could not displace any of the k results that set τ. Pruning reads only
+// serial state and every solve of the call warm-starts from one basis
+// snapshot, so the solved set and every value are independent of worker
+// count.
+func (ev *Evaluator) boundThenSolve(r *pdrouting.Routing, candidates []*demand.Matrix, singles []Result, k int) (results []Result, solved, pruned int) {
+	mxlu := make([]float64, len(candidates))
+	// The candidate fan-out already saturates the pool; a full-width inner
+	// fan-out here would square the goroutine count for no throughput. The
+	// serial propagation still reuses pooled buffers and is bit-identical
+	// at any width.
+	par.For(ev.cfg.Workers, len(candidates), func(i int) {
+		mxlu[i] = r.ParallelMaxUtilization(candidates[i], 1, ev.edgeBuf, ev.nodeBuf)
+	})
+	best := make([]float64, 0, k+1) // the k best exact ratios, descending
+	know := func(ratio float64) {
+		i := sort.Search(len(best), func(j int) bool { return best[j] < ratio })
+		best = append(best[:i], append([]float64{ratio}, best[i:]...)...)
+		if len(best) > k {
+			best = best[:k]
+		}
+	}
+	for _, s := range singles {
+		know(s.Ratio)
+	}
+	// A matrix pruned by an earlier call starts from the bound that pruned
+	// it: the length store has moved on since, and the bound has not.
+	norm := make([]float64, len(candidates))
+	lb := make([]float64, len(candidates))
+	hash := make([]uint64, len(candidates))
+	var pending []int
+	ev.cache.mu.Lock()
+	for i, D := range candidates {
+		hash[i] = hashMatrix(D)
+		v, ok := ev.cache.opt[hash[i]]
+		switch {
+		case ok && v >= 0:
+			norm[i] = v
+			if v > 0 && !math.IsInf(v, 1) {
+				know(mxlu[i] / v)
+			}
+		case ok:
+			lb[i] = -v
+			fallthrough
+		default:
+			pending = append(pending, i)
+		}
+	}
+	ev.cache.mu.Unlock()
+	bound := func(w mcf.Lengths) {
+		dist := w.Dists(ev.G, ev.DAGs)
+		for _, i := range pending {
+			if v := mcf.LowerBound(candidates[i], dist); v > lb[i] {
+				lb[i] = v
+			}
+		}
+	}
+	batch := len(pending) // FPTAS: no certificates, one full fan-out
+	if ev.exact() {
+		batch = pruneBatch
+		for _, w := range ev.cache.storedLengths() {
+			bound(w)
+		}
+	}
+	skipped := make([]bool, len(candidates))
+	ub := make([]float64, len(candidates))
+	warmSnapshot := ev.cache.warmBasis()
+	fresh := make([]*mcf.Solution, len(candidates))
+	var order []int // solve order
+	for len(pending) > 0 {
+		tau := math.Inf(-1)
+		if len(best) == k {
+			tau = best[k-1]
+		}
+		keep := pending[:0]
+		for _, i := range pending {
+			ub[i] = math.Inf(1)
+			if lb[i] > 0 {
+				ub[i] = mxlu[i] / lb[i]
+			}
+			if ub[i]*(1+pruneSlack) >= tau {
+				keep = append(keep, i)
+				continue
+			}
+			skipped[i] = true
+			pruned++
+			if ev.onPrune != nil {
+				ev.onPrune(candidates[i], mxlu[i], tau)
+			}
+		}
+		pending = keep
+		sort.Slice(pending, func(a, b int) bool {
+			ia, ib := pending[a], pending[b]
+			if ub[ia] != ub[ib] {
+				return ub[ia] > ub[ib]
+			}
+			return ia < ib
+		})
+		cur := append([]int(nil), pending[:min(batch, len(pending))]...)
+		pending = pending[len(cur):]
+		par.For(ev.cfg.Workers, len(cur), func(j int) {
+			norm[cur[j]], fresh[cur[j]] = ev.optDAGWarm(candidates[cur[j]], warmSnapshot)
+		})
+		for _, i := range cur {
+			order = append(order, i)
+			if v := norm[i]; v > 0 && !math.IsInf(v, 1) {
+				know(mxlu[i] / v)
+			}
+			if sol := fresh[i]; sol != nil && sol.Lengths != nil {
+				bound(sol.Lengths)
+			}
+		}
+	}
+	ev.publishFresh(fresh, order)
+	ev.cache.mu.Lock()
+	for i, skip := range skipped {
+		// Never overwrite a value another evaluator on this cache solved
+		// meanwhile, nor a stronger bound.
+		if v, ok := ev.cache.opt[hash[i]]; skip && (!ok || v < 0 && -v < lb[i]) {
+			ev.cache.opt[hash[i]] = -lb[i]
+		}
+	}
+	ev.cache.mu.Unlock()
+	for i, D := range candidates {
+		if v := norm[i]; !skipped[i] && v > 0 && !math.IsInf(v, 1) {
+			results = append(results, Result{Ratio: mxlu[i] / v, WorstDM: D, MxLU: mxlu[i], Norm: v})
+		}
+	}
+	return results, len(order), pruned
+}
+
+// publishFresh hands the evaluator cache what one PerfTop call's fresh
+// solves learned: their length certificates, in solve order, and one
+// warm basis — the highest-indexed fresh solve whose dual simplex has not
+// stalled (Basis.DualStall == 0), else the highest-indexed one. A stalled
+// mark is sticky along the chain, so publishing it would shut the dual
+// restart off for every later normalization that starts from it.
+func (ev *Evaluator) publishFresh(fresh []*mcf.Solution, order []int) {
+	var ws []mcf.Lengths
+	for _, i := range order {
+		if fresh[i] != nil {
+			ws = append(ws, fresh[i].Lengths)
+		}
+	}
+	ev.cache.addLengths(ws...)
+	var fallback *lp.Basis
+	for i := len(fresh) - 1; i >= 0; i-- {
+		if fresh[i] == nil || fresh[i].Basis == nil {
+			continue
+		}
+		if fresh[i].Basis.DualStall == 0 {
+			ev.cache.setWarmBasis(fresh[i].Basis)
+			return
+		}
+		if fallback == nil {
+			fallback = fresh[i].Basis
+		}
+	}
+	ev.cache.setWarmBasis(fallback)
 }
 
 // randomCorner materializes the sample-th random box corner of the seq-th

@@ -56,7 +56,7 @@ func (s *semiObliviousStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, er
 	// values, which is exactly the bound-only change the dual-simplex warm
 	// restart repairs without any phase-1 work.
 	model := mcf.NewMinMLUModel(g, support, box.Max)
-	_, _, basis, err := model.Solve(nil)
+	sol, err := model.Solve(nil)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: semi-oblivious rate LP infeasible at box max: %w", err)
 	}
@@ -66,7 +66,7 @@ func (s *semiObliviousStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, er
 		support: support,
 		static:  static,
 		model:   model,
-		basis:   basis,
+		basis:   sol.Basis,
 		cost: Cost{
 			DAGEdges:  0,
 			Adaptive:  true,
@@ -121,11 +121,12 @@ func (p *semiObliviousPlan) Adapt(dm *demand.Matrix) (*pdrouting.Routing, error)
 			}
 		}
 	}
-	_, flows, basis, err := p.model.Solve(&lp.SolveOptions{Basis: p.basis})
+	sol, err := p.model.Solve(&lp.SolveOptions{Basis: p.basis})
 	if err != nil {
 		return nil, fmt.Errorf("strategy: semi-oblivious rate re-solve: %w", err)
 	}
-	p.basis = basis
+	p.basis = sol.Basis
+	flows := sol.Flows
 
 	adapted := pdrouting.NewZero(p.g, p.support)
 	uniform := pdrouting.Uniform(p.g, p.support)

@@ -13,8 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when gofmt would rewrite a tracked Go file, as CI does;
+# git ls-files keeps untracked trees such as .bench_build/ out of it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -205,8 +205,8 @@ func (e *Engine) Compute() (*Config, error) {
 	if err := e.topo.Validate(); err != nil {
 		return nil, err
 	}
-	if e.bounds == nil {
-		return nil, errors.New("coyote: nil uncertainty bounds")
+	if err := e.bounds.Validate(e.topo.g.NumNodes()); err != nil {
+		return nil, fmt.Errorf("coyote: %w", err)
 	}
 	g := e.topo.g
 	if e.opts.LocalSearchWeights {

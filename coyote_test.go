@@ -1,8 +1,11 @@
 package coyote
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"github.com/coyote-te/coyote/internal/demand"
 )
 
 // runningExample builds the paper's Fig. 1a topology.
@@ -58,6 +61,36 @@ func TestComputeNilBounds(t *testing.T) {
 	topo, _ := runningExample(t)
 	if _, err := New(topo, nil).Compute(); err == nil {
 		t.Fatal("nil bounds must be rejected")
+	}
+}
+
+// TestComputeRejectsInvalidBounds covers boxes that used to yield
+// Perf = −Inf with a nil error (all-zero and infinite demand) or panic in
+// the evaluator (another topology's dimensions).
+func TestComputeRejectsInvalidBounds(t *testing.T) {
+	abilene, err := LoadTopology("Abilene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsf, err := LoadTopology("NSF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		bounds *Bounds
+	}{
+		{"zero", MarginBounds(GravityDemands(abilene, 0), 2)},
+		{"infinite", MarginBounds(GravityDemands(abilene, math.Inf(1)), 2)},
+		{"other-topology", MarginBounds(GravityDemands(nsf, 1), 2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := New(abilene, tc.bounds, Options{OptimizerIters: 1, AdversarialIters: 1}).Compute()
+			if !errors.Is(err, demand.ErrInvalidBox) {
+				t.Fatalf("Compute = (%v, %v), want an error wrapping demand.ErrInvalidBox", cfg, err)
+			}
+		})
 	}
 }
 

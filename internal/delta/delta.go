@@ -266,12 +266,8 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("delta: topology is not strongly connected")
 	}
-	if box == nil {
-		return nil, fmt.Errorf("delta: nil uncertainty bounds")
-	}
-	if box.Min.N != g.NumNodes() {
-		return nil, fmt.Errorf("delta: bounds are %d×%d but topology has %d nodes",
-			box.Min.N, box.Min.N, g.NumNodes())
+	if err := box.Validate(g.NumNodes()); err != nil {
+		return nil, fmt.Errorf("delta: %w", err)
 	}
 	s := &Session{
 		cfg:    cfg,
@@ -471,12 +467,8 @@ func (s *Session) record(e Event) Event {
 func (s *Session) UpdateBounds(box *demand.Box) (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if box == nil {
-		return Event{}, fmt.Errorf("delta: nil uncertainty bounds")
-	}
-	if box.Min.N != s.base.NumNodes() {
-		return Event{}, fmt.Errorf("delta: bounds are %d×%d but topology has %d nodes",
-			box.Min.N, box.Min.N, s.base.NumNodes())
+	if err := box.Validate(s.base.NumNodes()); err != nil {
+		return Event{}, fmt.Errorf("delta: %w", err)
 	}
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.update")
 	defer span.End()

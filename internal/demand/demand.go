@@ -9,6 +9,7 @@
 package demand
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -142,6 +143,43 @@ func ObliviousBox(n int, cap float64) *Box {
 		}
 	}
 	return &Box{Min: min, Max: max}
+}
+
+// ErrInvalidBox is wrapped by every error Box.Validate returns.
+var ErrInvalidBox = errors.New("demand: invalid uncertainty box")
+
+// Validate checks that the box can bound demand on an n-node topology:
+// both bounds are n×n, every entry is finite and non-negative, no lower
+// bound exceeds its upper bound (with NewBox's tolerance), and the upper
+// bound carries some traffic. Its errors wrap ErrInvalidBox.
+func (b *Box) Validate(n int) error {
+	if b == nil || b.Min == nil || b.Max == nil {
+		return fmt.Errorf("%w: nil bounds", ErrInvalidBox)
+	}
+	for _, m := range []*Matrix{b.Min, b.Max} {
+		if m.N != n || len(m.D) != n*n {
+			return fmt.Errorf("%w: bounds are %d×%d but topology has %d nodes",
+				ErrInvalidBox, m.N, m.N, n)
+		}
+	}
+	total := 0.0
+	for i, hi := range b.Max.D {
+		lo := b.Min.D[i]
+		// The negated comparisons also reject NaN.
+		if !(lo >= 0) || !(hi >= 0) || math.IsInf(lo, 1) || math.IsInf(hi, 1) {
+			return fmt.Errorf("%w: pair (%d,%d) bounds [%v, %v] are not finite and non-negative",
+				ErrInvalidBox, i/n, i%n, lo, hi)
+		}
+		if lo > hi+1e-15 {
+			return fmt.Errorf("%w: pair (%d,%d) lower bound %v exceeds upper bound %v",
+				ErrInvalidBox, i/n, i%n, lo, hi)
+		}
+		total += hi
+	}
+	if !(total > 0) {
+		return fmt.Errorf("%w: upper bound carries no demand", ErrInvalidBox)
+	}
+	return nil
 }
 
 // Contains reports whether D lies inside the box (within tolerance).

@@ -1,6 +1,7 @@
 package demand
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,5 +215,40 @@ func TestPropertyBoxCorners(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBoxValidate(t *testing.T) {
+	base := NewMatrix(3)
+	base.D[1] = 4
+	edit := func(f func(b *Box)) *Box {
+		b := MarginBox(base, 2)
+		f(b)
+		return b
+	}
+	cases := []struct {
+		name string
+		box  *Box
+		ok   bool
+	}{
+		{"valid", MarginBox(base, 2), true},
+		{"nil", nil, false},
+		{"nil-max", &Box{Min: base}, false},
+		{"dimension", MarginBox(NewMatrix(4), 2), false},
+		{"short-data", edit(func(b *Box) { b.Max.D = b.Max.D[:8] }), false},
+		{"negative", edit(func(b *Box) { b.Min.D[2] = -1 }), false},
+		{"nan", edit(func(b *Box) { b.Max.D[2] = math.NaN() }), false},
+		{"infinite", edit(func(b *Box) { b.Max.D[2] = math.Inf(1) }), false},
+		{"crossed", edit(func(b *Box) { b.Min.D[1] = 9 }), false},
+		{"zero", MarginBox(NewMatrix(3), 2), false},
+	}
+	for _, tc := range cases {
+		err := tc.box.Validate(3)
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrInvalidBox) {
+			t.Errorf("%s: got %v, want an error wrapping ErrInvalidBox", tc.name, err)
+		}
 	}
 }

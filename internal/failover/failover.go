@@ -167,6 +167,8 @@ type GroupScenario struct {
 	DAGs []*dagx.DAG
 	Ev   *oblivious.Evaluator
 }
+
+// PrecomputeGroups precomputes one GroupScenario per failure group. It is
 // the multi-link generalization of Precompute that internal/scen's SRLG
 // and k-link failure suites feed. Groups are computed in parallel; an
 // empty group yields the normal-topology configuration.

@@ -2,20 +2,17 @@ package lp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
 // dualCase is one instance of the pathological dual-simplex matrix — the
-// dual counterpart of matrixCases. Each model is solved with MethodDual
-// under both pricing rules and checked against the dense oracle; cases
-// tagged warmEdit additionally solve once, apply the edit, and require the
-// dual phase to repair the carried basis.
+// dual counterpart of matrixCases. Each model is solved once, edited, and
+// warm re-solved: the dual phase must repair the carried basis and match a
+// cold solve of the edited model.
 type dualCase struct {
-	name     string
-	build    func() *Model
-	edit     func(*Model, *Solution) // optional bound/RHS edit after first solve
-	wantDual bool                    // the edited re-solve must actually run the dual phase
+	name  string
+	build func() *Model
+	edit  func(*Model, *Solution) // bound/RHS edit after the first solve
 }
 
 // shrinkBasics clamps the upper bound of up to count structural variables
@@ -60,21 +57,6 @@ func dualCases() []dualCase {
 			edit: func(m *Model, sol *Solution) {
 				shrinkBasics(m, sol, 2, 1.5)
 			},
-			wantDual: true,
-		},
-		{
-			// Dual-infeasible cold start: a free variable carries nonzero
-			// reduced cost at the crash basis and no bound flip can repair
-			// it, so MethodDual must phase-switch to primal and still win.
-			name: "dual-infeasible-phase-switch",
-			build: func() *Model {
-				m := NewModel(Minimize)
-				x := m.AddVar(-inf, inf, 1)
-				y := m.AddVar(0, inf, 2)
-				m.AddGE([]Term{{x, 1}, {y, 1}}, 3)
-				m.AddGE([]Term{{x, -1}, {y, 1}}, -1)
-				return m
-			},
 		},
 		{
 			// Beale's cycling LP under the dual after an RHS edit: the
@@ -94,7 +76,6 @@ func dualCases() []dualCase {
 			edit: func(m *Model, sol *Solution) {
 				shrinkBasics(m, sol, 1, 0.5) // v2, basic at 1, capped to 0.5
 			},
-			wantDual: true,
 		},
 		{
 			// Ranged rows: the violated basic can leave at either end of its
@@ -112,7 +93,6 @@ func dualCases() []dualCase {
 			edit: func(m *Model, sol *Solution) {
 				shrinkBasics(m, sol, 1, 3) // x, basic at 8, capped to 5
 			},
-			wantDual: true,
 		},
 		{
 			// Boxed variables at their upper bounds: the dual ratio test
@@ -130,7 +110,6 @@ func dualCases() []dualCase {
 			edit: func(m *Model, sol *Solution) {
 				shrinkBasics(m, sol, 1, 0.5) // z, basic at −1, capped to −1.5
 			},
-			wantDual: true,
 		},
 		{
 			// Infeasible after the edit: the dual phase prices the violation
@@ -148,115 +127,65 @@ func dualCases() []dualCase {
 			edit: func(m *Model, sol *Solution) {
 				m.SetRowBounds(0, 9, Inf) // beyond the variables' reach
 			},
-			wantDual: true,
 		},
 	}
 }
 
-// TestDualMatrix runs every pathological dual instance cold under
-// MethodDual with both pricing rules, cross-checked against the dense
-// oracle.
-func TestDualMatrix(t *testing.T) {
-	pricings := map[string]DualPricing{"devex": DualDevex, "dantzig": DualDantzig}
-	for _, tc := range dualCases() {
-		for pname, pricing := range pricings {
-			t.Run(tc.name+"/"+pname, func(t *testing.T) {
-				mdl := tc.build()
-				ref, err := mdl.SolveDense()
-				if err != nil {
-					t.Fatalf("dense: %v", err)
-				}
-				sol, err := mdl.Solve(&SolveOptions{Method: MethodDual, DualPricing: pricing})
-				if err != nil {
-					t.Fatalf("dual: %v", err)
-				}
-				if sol.Status != ref.Status {
-					t.Fatalf("dual status %v, dense %v", sol.Status, ref.Status)
-				}
-				if sol.Status != Optimal {
-					return
-				}
-				tol := 1e-6 * (1 + math.Abs(ref.Objective))
-				if math.Abs(sol.Objective-ref.Objective) > tol {
-					t.Fatalf("dual objective %.12g, dense %.12g", sol.Objective, ref.Objective)
-				}
-				checkFeasible(t, mdl, sol.X, 0)
-			})
-		}
-	}
-}
-
-// TestDualMatrixWarmEdit replays each case with an edit: solve, apply the
-// bound/RHS change, warm re-solve under MethodAuto. The dual phase must
-// engage where the case demands it, and the result must match a cold solve.
+// TestDualMatrixWarmEdit replays each case: solve, apply the bound/RHS
+// change, warm re-solve. The dual phase must run, and the result must match
+// a cold solve of the edited model.
 func TestDualMatrixWarmEdit(t *testing.T) {
-	pricings := map[string]DualPricing{"devex": DualDevex, "dantzig": DualDantzig}
 	for _, tc := range dualCases() {
-		if tc.edit == nil {
-			continue
-		}
-		for pname, pricing := range pricings {
-			t.Run(tc.name+"/"+pname, func(t *testing.T) {
-				mdl := tc.build()
-				base, err := mdl.Solve(nil)
-				if err != nil {
-					t.Fatalf("base: %v", err)
-				}
-				if base.Status != Optimal {
-					t.Fatalf("base status %v", base.Status)
-				}
-				tc.edit(mdl, base)
-				warm, err := mdl.Solve(&SolveOptions{Basis: base.Basis, DualPricing: pricing})
-				if err != nil {
-					t.Fatalf("warm: %v", err)
-				}
-				cold, err := tcRebuildWithEdit(tc).Solve(&SolveOptions{Method: MethodPrimal})
-				if err != nil {
-					t.Fatalf("cold: %v", err)
-				}
-				if warm.Status != cold.Status {
-					t.Fatalf("warm status %v, cold %v", warm.Status, cold.Status)
-				}
-				if tc.wantDual && !warm.Stats.DualUsed {
-					t.Fatalf("dual phase did not run (attempted=%v, iterations=%d)",
-						warm.Stats.DualAttempted, warm.Stats.Iterations)
-				}
-				if warm.Status != Optimal {
-					return
-				}
-				tol := 1e-6 * (1 + math.Abs(cold.Objective))
-				if math.Abs(warm.Objective-cold.Objective) > tol {
-					t.Fatalf("warm objective %.12g, cold %.12g", warm.Objective, cold.Objective)
-				}
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			mdl := tc.build()
+			base, err := mdl.Solve(nil)
+			if err != nil {
+				t.Fatalf("base: %v", err)
+			}
+			if base.Status != Optimal {
+				t.Fatalf("base status %v", base.Status)
+			}
+			tc.edit(mdl, base)
+			warm, err := mdl.Solve(&SolveOptions{Basis: base.Basis})
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			cold, err := tcRebuildWithEdit(tc).Solve(nil)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			if warm.Status != cold.Status {
+				t.Fatalf("warm status %v, cold %v", warm.Status, cold.Status)
+			}
+			if !warm.Stats.DualUsed {
+				t.Fatalf("dual phase did not run (attempted=%v, iterations=%d)",
+					warm.Stats.DualAttempted, warm.Stats.Iterations)
+			}
+			if warm.Status != Optimal {
+				return
+			}
+			tol := 1e-6 * (1 + math.Abs(cold.Objective))
+			if math.Abs(warm.Objective-cold.Objective) > tol {
+				t.Fatalf("warm objective %.12g, cold %.12g", warm.Objective, cold.Objective)
+			}
+		})
 	}
 }
 
-// TestDualStallRouting covers the auto router's bail memory
+// TestDualStallRouting covers the solver's dual-bail memory
 // (Basis.DualStall): a warm basis marked stalled is never routed into
 // the dual phase but still solves correctly via the primal phases, and
 // a dual phase that runs to completion leaves the mark cleared on the
 // returned basis.
 func TestDualStallRouting(t *testing.T) {
-	var tc dualCase
-	for _, c := range dualCases() {
-		if c.edit != nil && c.wantDual {
-			tc = c
-			break
-		}
-	}
-	if tc.build == nil {
-		t.Fatal("no warm-edit dual case available")
-	}
-
+	tc := dualCases()[0]
 	mdl := tc.build()
 	base, err := mdl.Solve(nil)
 	if err != nil || base.Status != Optimal {
 		t.Fatalf("base: status=%v err=%v", base.Status, err)
 	}
 	tc.edit(mdl, base)
-	cold, err := tcRebuildWithEdit(tc).Solve(&SolveOptions{Method: MethodPrimal})
+	cold, err := tcRebuildWithEdit(tc).Solve(nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -307,44 +236,4 @@ func tcRebuildWithEdit(tc dualCase) *Model {
 	}
 	tc.edit(m, sol)
 	return m
-}
-
-// TestDualForcedRandom hammers MethodDual from cold starts on random
-// models: whatever path the engine takes (dual, flip-repair, or phase
-// switch), the verdict must match the dense oracle.
-func TestDualForcedRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	dualRan := 0
-	for trial := 0; trial < 250; trial++ {
-		mdl := randomModel(rng)
-		ref, err := mdl.SolveDense()
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
-		pricing := DualDevex
-		if trial%2 == 1 {
-			pricing = DualDantzig
-		}
-		sol, err := mdl.Solve(&SolveOptions{Method: MethodDual, DualPricing: pricing})
-		if err != nil {
-			t.Fatalf("trial %d: dual: %v", trial, err)
-		}
-		if sol.Stats.DualUsed {
-			dualRan++
-		}
-		if sol.Status != ref.Status {
-			t.Fatalf("trial %d: dual status %v, dense %v", trial, sol.Status, ref.Status)
-		}
-		if sol.Status != Optimal {
-			continue
-		}
-		tol := 1e-6 * (1 + math.Abs(ref.Objective))
-		if math.Abs(sol.Objective-ref.Objective) > tol {
-			t.Fatalf("trial %d: dual objective %.12g, dense %.12g", trial, sol.Objective, ref.Objective)
-		}
-	}
-	if dualRan == 0 {
-		t.Fatal("forced dual never ran to a verdict on any random model")
-	}
-	t.Logf("dual phase reached a verdict on %d/250 forced cold starts", dualRan)
 }

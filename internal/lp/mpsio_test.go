@@ -1,4 +1,5 @@
-// MPS reading and writing for Model.
+// MPS reading and writing for Model: test support for the stress corpus,
+// round-trip and fuzz tests. No production code reads or writes MPS.
 //
 // The dialect is free-format MPS: section headers start in column one, data
 // lines are whitespace-separated fields, '*' begins a comment. Supported

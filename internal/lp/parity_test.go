@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// TestCrossEngineParityRandom is the randomized cross-engine parity matrix:
-// for seeded random models, primal-sparse, dual-sparse, dense, and
-// presolve-on solves must agree on status and objective, every optimal
-// point must be feasible, and every engine's duals must satisfy the
-// original model's KKT conditions (duals themselves may differ between
-// engines at degenerate optima, so KKT membership is the meaningful
-// equality).
+// TestCrossEngineParityRandom is the randomized cross-engine parity test:
+// for seeded random models, the sparse and dense engines must agree on
+// status and objective, every optimal point must be feasible, and the
+// sparse duals must satisfy the model's KKT conditions (duals themselves
+// may differ between engines at degenerate optima, so KKT membership is
+// the meaningful equality).
 func TestCrossEngineParityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	solved := 0
@@ -23,41 +22,14 @@ func TestCrossEngineParityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		type variant struct {
-			name string
-			opts *SolveOptions
+		sol, err := mdl.Solve(nil)
+		if err != nil {
+			t.Fatalf("trial %d: sparse: %v", trial, err)
 		}
-		variants := []variant{
-			{"primal", &SolveOptions{Method: MethodPrimal}},
-			{"dual-devex", &SolveOptions{Method: MethodDual}},
-			{"dual-dantzig", &SolveOptions{Method: MethodDual, DualPricing: DualDantzig}},
-			{"presolve", &SolveOptions{Presolve: true}},
-			{"presolve-dual", &SolveOptions{Presolve: true, Method: MethodDual}},
+		if sol.Stats.DenseFallback {
+			t.Fatalf("trial %d: sparse fell back to dense", trial)
 		}
-		for _, v := range variants {
-			sol, err := mdl.Solve(v.opts)
-			if err != nil {
-				t.Fatalf("trial %d: %s: %v", trial, v.name, err)
-			}
-			if sol.Stats.DenseFallback {
-				t.Fatalf("trial %d: %s fell back to dense", trial, v.name)
-			}
-			if sol.Status != ref.Status {
-				t.Fatalf("trial %d: %s status %v, dense %v", trial, v.name, sol.Status, ref.Status)
-			}
-			if sol.Status != Optimal {
-				continue
-			}
-			tol := 1e-6 * (1 + math.Abs(ref.Objective))
-			if math.Abs(sol.Objective-ref.Objective) > tol {
-				t.Fatalf("trial %d: %s objective %.12g, dense %.12g",
-					trial, v.name, sol.Objective, ref.Objective)
-			}
-			checkFeasible(t, mdl, sol.X, trial)
-			if !mdl.kktValid(sol.X, sol.Duals) {
-				t.Fatalf("trial %d: %s solution fails KKT validation", trial, v.name)
-			}
-		}
+		checkMatchesDense(t, mdl, sol, ref, trial, "sparse")
 		if ref.Status == Optimal {
 			solved++
 		}
@@ -67,79 +39,10 @@ func TestCrossEngineParityRandom(t *testing.T) {
 	}
 }
 
-// TestPresolveMatchesPlain pins the presolve-on ≡ presolve-off contract on
-// the deterministic pathological matrix (which includes infeasible,
-// unbounded, degenerate, and ranged-row cases) — status, objective, and
-// KKT-valid duals after postsolve.
-func TestPresolveMatchesPlain(t *testing.T) {
-	for _, tc := range matrixCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			plain, err := tc.build().Solve(nil)
-			if err != nil {
-				t.Fatalf("plain: %v", err)
-			}
-			mdl := tc.build()
-			ps, err := mdl.Solve(&SolveOptions{Presolve: true})
-			if err != nil {
-				t.Fatalf("presolve: %v", err)
-			}
-			if ps.Status != plain.Status {
-				t.Fatalf("presolve status %v, plain %v", ps.Status, plain.Status)
-			}
-			if ps.Status != Optimal {
-				return
-			}
-			tol := 1e-6 * (1 + math.Abs(plain.Objective))
-			if math.Abs(ps.Objective-plain.Objective) > tol {
-				t.Fatalf("presolve objective %.12g, plain %.12g", ps.Objective, plain.Objective)
-			}
-			if !mdl.kktValid(ps.X, ps.Duals) {
-				t.Fatalf("presolved solution fails KKT validation")
-			}
-			if ps.Basis != nil {
-				t.Fatalf("presolved solve returned a basis (indexes the reduced model)")
-			}
-		})
-	}
-}
-
-// TestPresolveReduces asserts the pass actually removes structure on a
-// model built to contain every reduction: fixed variables, singleton and
-// empty and redundant rows, empty columns, and a free column singleton.
-func TestPresolveReduces(t *testing.T) {
-	m := NewModel(Minimize)
-	x := m.AddVar(0, 10, 1)
-	f := m.AddVar(3, 3, 2)                // fixed
-	e := m.AddVar(0, 5, 4)                // empty column: no rows
-	free := m.AddVar(-Inf, Inf, 1)        // free column singleton
-	m.AddGE([]Term{{x, 1}}, 2)            // singleton row → bound
-	m.AddLE([]Term{{x, 1}, {f, 1}}, 100)  // redundant: max activity 13
-	m.AddRow(nil, -1, 1)                  // empty row, satisfiable
-	m.AddEQ([]Term{{free, 2}, {x, 1}}, 8) // free col singleton row
-	sol, err := m.Solve(&SolveOptions{Presolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if sol.Stats.PresolveRows == 0 || sol.Stats.PresolveCols == 0 {
-		t.Fatalf("presolve removed nothing: rows=%d cols=%d",
-			sol.Stats.PresolveRows, sol.Stats.PresolveCols)
-	}
-	// min x + 2f + 4e + free: x=2 (singleton bound), f=3, e=0,
-	// free=(8−x)/2=3 → 2 + 6 + 0 + 3 = 11.
-	if math.Abs(sol.Objective-11) > 1e-9 {
-		t.Fatalf("objective %.12g, want 11", sol.Objective)
-	}
-	if math.Abs(sol.X[free]-3) > 1e-9 || math.Abs(sol.X[f]-3) > 1e-9 || sol.X[e] != 0 {
-		t.Fatalf("postsolved X = %v", sol.X)
-	}
-}
-
 // TestDualAutoAfterBoundEdit is the dual-restart smoke test: a warm basis
 // made primal infeasible by a bound edit must be repaired by the dual
-// simplex under MethodAuto, matching the cold optimum.
+// simplex, matching the cold optimum and the dense oracle with KKT-valid
+// duals.
 func TestDualAutoAfterBoundEdit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	activations := 0
@@ -183,10 +86,15 @@ func TestDualAutoAfterBoundEdit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
-		cold, err := mdl.Solve(&SolveOptions{Method: MethodPrimal})
+		cold, err := mdl.Solve(nil)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
+		ref, err := mdl.SolveDense()
+		if err != nil {
+			t.Fatalf("trial %d: dense: %v", trial, err)
+		}
+		checkMatchesDense(t, mdl, warm, ref, trial, "warm")
 		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: warm status %v, cold %v", trial, warm.Status, cold.Status)
 		}
@@ -206,4 +114,26 @@ func TestDualAutoAfterBoundEdit(t *testing.T) {
 		t.Fatalf("dual simplex never activated across 200 bound-edit trials")
 	}
 	t.Logf("dual simplex repaired %d/200 bound-edited warm starts", activations)
+}
+
+// checkMatchesDense fails the test unless sol agrees with the dense
+// oracle's ref on status and objective and, when optimal, is feasible with
+// KKT-valid duals.
+func checkMatchesDense(t *testing.T, mdl *Model, sol, ref *Solution, trial int, label string) {
+	t.Helper()
+	if sol.Status != ref.Status {
+		t.Fatalf("trial %d: %s status %v, dense %v", trial, label, sol.Status, ref.Status)
+	}
+	if sol.Status != Optimal {
+		return
+	}
+	tol := 1e-6 * (1 + math.Abs(ref.Objective))
+	if math.Abs(sol.Objective-ref.Objective) > tol {
+		t.Fatalf("trial %d: %s objective %.12g, dense %.12g",
+			trial, label, sol.Objective, ref.Objective)
+	}
+	checkFeasible(t, mdl, sol.X, trial)
+	if !mdl.kktValid(sol.X, sol.Duals) {
+		t.Fatalf("trial %d: %s solution fails KKT validation", trial, label)
+	}
 }

@@ -19,7 +19,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -66,7 +65,7 @@ func MinMLUExact(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, [
 // Solution carries the optimal basis of this solve; carrying it across the
 // online controller's repeated normalizations (demand matrices drifting
 // inside a box) typically skips phase 1 entirely, and a bound/RHS-only
-// drift is repaired by the dual simplex (lp.MethodAuto). A basis that no
+// drift is repaired by the dual simplex. A basis that no
 // longer fits is ignored. The optimum itself never depends on the warm
 // basis; only the pivot path does.
 func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (*Solution, error) {
@@ -91,8 +90,7 @@ type Solution struct {
 // online controller edits demand RHS values in place (SetDemand) and
 // re-solves from the carried basis, which routes through the dual simplex
 // when the edit left the basis primal infeasible. The row/variable maps
-// are exported so tests and tools can address the formulation directly,
-// and DumpMPS writes the instance in MPS form for external solvers.
+// are exported so tests and tools can address the formulation directly.
 type MinMLUModel struct {
 	Model *lp.Model
 	// Alpha is the MLU variable (the objective).
@@ -311,12 +309,6 @@ func LowerBound(D *demand.Matrix, dist []float64) float64 {
 		}
 	}
 	return lb
-}
-
-// DumpMPS writes the instance in canonical MPS form, so any min-MLU LP can
-// be handed to an external solver or added to the stress corpus.
-func (mm *MinMLUModel) DumpMPS(w io.Writer) error {
-	return lp.WriteMPS(w, mm.Model)
 }
 
 // MinMLUExactDense solves the identical formulation on the dense

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-compare fuzz-smoke smoke-examples sweep metrics-smoke fleet-smoke
+.PHONY: all build test vet race cover perfbench-check bench bench-compare fuzz-smoke smoke-examples sweep metrics-smoke fleet-smoke
 
 all: build test
 
@@ -27,6 +27,13 @@ race:
 # so coverage is visible on every push).
 cover:
 	$(GO) test -cover ./...
+
+# perfbench-check vets and tests the benchmark. perfbench/ is a nested
+# module (it replaces the root module with the checkout), so the root
+# `go build/vet/test ./...` never reach it; without this target an API
+# change in the packages it drives would break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # sweep is the cached corpus-sweep gate (DESIGN.md §8): run the golden
 # campaign fresh through the content-addressed cache, re-run it (must be

@@ -9,6 +9,7 @@ import (
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/oblivious"
+	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -239,6 +240,11 @@ func TestSessionWorkerParity(t *testing.T) {
 		if _, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.5)); err != nil {
 			t.Fatal(err)
 		}
+		// The second update's carry batch starts from the basis the
+		// first update's batches published.
+		if _, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(0.9), 2.2)); err != nil {
+			t.Fatal(err)
+		}
 		link := s.Base().Links()[2]
 		if _, err := s.Fail(link); err != nil {
 			t.Fatal(err)
@@ -366,5 +372,35 @@ func TestDualRepairsScaledBoxUpdate(t *testing.T) {
 	}
 	if totalDualHits == 0 {
 		t.Fatal("dual simplex never repaired a scaled-box update; the dual-restart trigger is dead in sessions")
+	}
+}
+
+// TestSessionDriftStaysDual guards the warm chain of a drifting session: a
+// diurnal box update only moves the OPTDAG right-hand sides, so once the
+// shared basis is warm every normalization is a dual-simplex repair, and
+// phase 1 must stay a rounding error of the LP work. A dual bail must not
+// leak into the shared basis, where its stall mark would switch the dual
+// phase off for the rest of the session. The counters are process-global,
+// so this test must not run in parallel with others that reset them.
+func TestSessionDriftStaysDual(t *testing.T) {
+	s, base := newNSFSession(t, testCfg())
+	steps := scen.TimeOfDay(demand.MarginBox(base, 2), 6, 0.1, 3)
+	for i, D := range steps {
+		if i == 1 {
+			lp.ResetGlobalStats()
+		}
+		if _, err := s.UpdateBounds(demand.MarginBox(D, 2)); err != nil {
+			t.Fatalf("update %d: %v", i+1, err)
+		}
+	}
+	st := lp.GlobalStats()
+	t.Logf("updates 2-6: %d solves, %d iterations, %d phase-1, dual %d/%d",
+		st.Solves, st.Iterations, st.Phase1Iterations, st.DualHits, st.DualAttempts)
+	if st.DualAttempts == 0 {
+		t.Fatal("no dual attempts over updates 2-6: the shared basis carries a stall mark")
+	}
+	if st.Iterations == 0 || float64(st.Phase1Iterations) > 0.05*float64(st.Iterations) {
+		t.Fatalf("phase 1 ran %d of %d iterations over updates 2-6, want ≤ 5%%",
+			st.Phase1Iterations, st.Iterations)
 	}
 }

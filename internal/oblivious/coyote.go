@@ -139,24 +139,29 @@ func optimizeWithEvaluator(g *graph.Graph, dags []*dagx.DAG, ev *Evaluator, opts
 		return true
 	}
 
-	// Seed scenarios: the box extremes and the geometric midpoint (the
-	// base matrix of a margin box).
+	// Seed scenarios: the box maximum, the geometric midpoint (the base
+	// matrix of a margin box), then the carry-over — critical matrices
+	// from earlier recomputes, re-normalized for these DAGs, so
+	// adversarial corners that still bind are not re-discovered over
+	// several rounds. Their OPTDAG normalizations are one batch.
 	seedCtx, seedSpan := obs.StartSpan(ctx, "oblivious.seed")
-	maxCorner := ev.Box.Max.Clone()
-	addScenario(maxCorner, ev.OptDAG(maxCorner))
 	mid := demand.NewMatrix(n)
 	for i := range mid.D {
 		mid.D[i] = math.Sqrt(ev.Box.Min.D[i] * ev.Box.Max.D[i])
 	}
-	addScenario(mid, ev.OptDAG(mid))
-
-	// Carry-over: critical matrices from earlier recomputes enter the
-	// finite set immediately (re-normalized for these DAGs), so adversarial
-	// corners that still bind are not re-discovered over several rounds.
-	for _, D := range opts.Carry {
-		if D != nil && D.N == n {
-			addScenario(D, ev.OptDAG(D))
+	var seeds []*demand.Matrix
+	seedSeen := make(map[uint64]bool)
+	for _, D := range append([]*demand.Matrix{ev.Box.Max.Clone(), mid}, opts.Carry...) {
+		if D == nil || D.N != n {
+			continue
 		}
+		if h := hashMatrix(D); !seedSeen[h] {
+			seedSeen[h] = true
+			seeds = append(seeds, D)
+		}
+	}
+	for i, norm := range ev.OptDAGs(seeds) {
+		addScenario(seeds[i], norm)
 	}
 
 	opt := opts.Warm

@@ -178,16 +178,6 @@ func (c *evalCache) warmBasis() *lp.Basis {
 	return c.basis
 }
 
-// setWarmBasis publishes a new warm-start basis (nil is ignored).
-func (c *evalCache) setWarmBasis(b *lp.Basis) {
-	if b == nil {
-		return
-	}
-	c.mu.Lock()
-	c.basis = b
-	c.mu.Unlock()
-}
-
 // NewEvaluator builds an evaluator for the given DAGs and uncertainty box.
 func NewEvaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box, cfg EvalConfig) *Evaluator {
 	cfg = cfg.withDefaults()
@@ -224,19 +214,48 @@ func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
 }
 
 // OptDAG returns the demands-aware optimal utilization of D within the
-// evaluator's DAGs (cached; exact LP up to ExactNodeLimit nodes, FPTAS
-// otherwise). Exact solves warm-start from — and refresh — the shared
-// basis cache; use it from serialized contexts (the adversarial loop's
-// scenario accumulation, sessions). PerfTop's internal parallel
-// normalization goes through optDAGWarm with a fixed basis snapshot
-// instead, so its results never depend on goroutine scheduling.
+// evaluator's DAGs: OptDAGs of a one-matrix batch.
 func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
-	v, sol := ev.optDAGWarm(D, ev.cache.warmBasis())
-	if sol != nil {
-		ev.cache.setWarmBasis(sol.Basis)
-		ev.cache.addLengths(sol.Lengths)
+	return ev.OptDAGs([]*demand.Matrix{D})[0]
+}
+
+// OptDAGs returns OPTDAG of each matrix (cached; exact LP up to
+// ExactNodeLimit nodes, FPTAS otherwise). The memo misses are solved
+// concurrently, each exact solve warm-starting from one snapshot of the
+// shared basis, and what they learned is published in index order
+// (publishFresh), so the values and the published state are independent
+// of worker count. When the cache holds no basis yet, the first miss is
+// solved alone and seeds the snapshot: a cold evaluator's first batch
+// chains exactly like one-at-a-time calls. A matrix repeated in Ds is
+// solved once per occurrence. Use it from serialized contexts (the
+// adversarial loop's scenario seeding, sessions); PerfTop's normalization
+// batches run through boundThenSolve instead.
+func (ev *Evaluator) OptDAGs(Ds []*demand.Matrix) []float64 {
+	vals := make([]float64, len(Ds))
+	fresh := make([]*mcf.Solution, len(Ds))
+	var miss []int
+	ev.cache.mu.Lock()
+	for i, D := range Ds {
+		if v, ok := ev.cache.opt[hashMatrix(D)]; ok && v >= 0 {
+			vals[i] = v
+		} else {
+			miss = append(miss, i)
+		}
 	}
-	return v
+	ev.cache.mu.Unlock()
+	warm := ev.cache.warmBasis()
+	if warm == nil && ev.exact() && len(miss) > 0 {
+		i := miss[0]
+		miss = miss[1:]
+		vals[i], fresh[i] = ev.optDAGWarm(Ds[i], nil)
+		ev.publishFresh(fresh, []int{i})
+		warm = ev.cache.warmBasis()
+	}
+	par.For(ev.cfg.Workers, len(miss), func(j int) {
+		vals[miss[j]], fresh[miss[j]] = ev.optDAGWarm(Ds[miss[j]], warm)
+	})
+	ev.publishFresh(fresh, miss)
+	return vals
 }
 
 // exact reports whether OPTDAG uses the exact LP (and so yields bases and
@@ -594,12 +613,13 @@ func (ev *Evaluator) boundThenSolve(r *pdrouting.Routing, candidates []*demand.M
 	return results, len(order), pruned
 }
 
-// publishFresh hands the evaluator cache what one PerfTop call's fresh
-// solves learned: their length certificates, in solve order, and one
-// warm basis — the highest-indexed fresh solve whose dual simplex has not
-// stalled (Basis.DualStall == 0), else the highest-indexed one. A stalled
-// mark is sticky along the chain, so publishing it would shut the dual
-// restart off for every later normalization that starts from it.
+// publishFresh hands the evaluator cache what a batch of fresh solves
+// learned: their length certificates, in solve order, and one warm basis
+// — the highest-indexed fresh solve whose dual simplex has not stalled
+// (Basis.DualStall == 0), or none. A stalled mark is sticky along the
+// chain, so publishing it would shut the dual restart off for every later
+// normalization that starts from the shared basis; keeping the older
+// unstalled basis lets the next RHS drift repair it by dual simplex.
 func (ev *Evaluator) publishFresh(fresh []*mcf.Solution, order []int) {
 	var ws []mcf.Lengths
 	for _, i := range order {
@@ -608,20 +628,14 @@ func (ev *Evaluator) publishFresh(fresh []*mcf.Solution, order []int) {
 		}
 	}
 	ev.cache.addLengths(ws...)
-	var fallback *lp.Basis
 	for i := len(fresh) - 1; i >= 0; i-- {
-		if fresh[i] == nil || fresh[i].Basis == nil {
-			continue
-		}
-		if fresh[i].Basis.DualStall == 0 {
-			ev.cache.setWarmBasis(fresh[i].Basis)
+		if fresh[i] != nil && fresh[i].Basis != nil && fresh[i].Basis.DualStall == 0 {
+			ev.cache.mu.Lock()
+			ev.cache.basis = fresh[i].Basis
+			ev.cache.mu.Unlock()
 			return
 		}
-		if fallback == nil {
-			fallback = fresh[i].Basis
-		}
 	}
-	ev.cache.setWarmBasis(fallback)
 }
 
 // randomCorner materializes the sample-th random box corner of the seq-th

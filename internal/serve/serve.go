@@ -39,13 +39,15 @@
 //	                cache and return the report
 //
 // Mutations recompute synchronously and return the resulting event, so a
-// client sees the post-transition PERF in the response. The controller
+// client sees the post-transition PERF in the response; a mutation body
+// over 1 MiB is refused with 413. The controller
 // inherits the repo's determinism contract: for a fixed seed and mutation
 // sequence, results are bit-identical for any worker count.
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -252,10 +254,31 @@ type updateRequest struct {
 	} `json:"entries,omitempty"`
 }
 
+// maxBodyBytes caps a session mutation's request body. An NSF drift
+// update with explicit entries is about 10 KB; a body past the cap is
+// refused with 413 before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a mutation's JSON body of at most maxBodyBytes into v.
+// On failure it writes the error response (413 past the cap, 400
+// otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Scale != 0 && len(req.Entries) > 0 {
@@ -340,8 +363,7 @@ func (s *Server) resolveLink(req linkRequest) (graph.EdgeID, error) {
 func (s *Server) handleLinkMutation(w http.ResponseWriter, r *http.Request,
 	apply func(graph.EdgeID) (delta.Event, error)) {
 	var req linkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	id, err := s.resolveLink(req)

@@ -203,6 +203,30 @@ func TestUpdateRejectsBadBodies(t *testing.T) {
 	}
 }
 
+// TestMutationBodyCap: a session mutation body past maxBodyBytes is
+// refused with 413 instead of being buffered, on every mutating endpoint.
+func TestMutationBodyCap(t *testing.T) {
+	ts, ses := newTestServer(t)
+	entry := `{"from":"NSF-00","to":"NSF-01","rate":1},`
+	update := `{"margin":2,"entries":[` + strings.Repeat(entry, (2<<20)/len(entry)) + entry[:len(entry)-1] + `]}`
+	link := `{"from":"` + strings.Repeat("a", 2<<20) + `","to":"NSF-01"}`
+	for _, c := range []struct{ path, body string }{
+		{"/update", update}, {"/fail", link}, {"/recover", link},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 413", c.path, len(c.body), resp.StatusCode)
+		}
+	}
+	if n := len(ses.Events()); n != 1 {
+		t.Fatalf("%d session events after refused mutations, want only the init event", n)
+	}
+}
+
 func TestSSEStream(t *testing.T) {
 	ts, ses := newTestServer(t)
 
